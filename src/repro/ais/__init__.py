@@ -8,8 +8,8 @@ corrupt messages (bad checksum, out-of-range coordinates) before tracking.
 
 This package implements that substrate from scratch:
 
-* :mod:`repro.ais.sixbit` — bit-level packing and the 6-bit ASCII armor;
-* :mod:`repro.ais.messages` — binary layout of the supported message types;
+* :mod:`repro.ais.messages` — the integer codec: 6-bit ASCII armor and
+  the binary layout of the supported message types;
 * :mod:`repro.ais.nmea` — AIVDM sentence framing and checksums;
 * :mod:`repro.ais.scanner` — the Data Scanner of Figure 1 (decode + clean);
 * :mod:`repro.ais.stream` — positional tuples and stream replay with the

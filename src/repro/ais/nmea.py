@@ -13,7 +13,12 @@ distortions caused during transmission — e.g., discard messages with bad
 checksum", Section 2), so checksum handling is implemented faithfully.
 """
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import xor
+from typing import NamedTuple
+
+#: The fill bits of a sentence: one ASCII digit, 0 to 5.
+_FILL_BITS = {str(bits): bits for bits in range(6)}
 
 
 class NmeaFormatError(ValueError):
@@ -24,8 +29,7 @@ class ChecksumError(ValueError):
     """The sentence checksum does not match its contents."""
 
 
-@dataclass(frozen=True)
-class AivdmSentence:
+class AivdmSentence(NamedTuple):
     """Parsed fields of one AIVDM sentence (possibly one fragment of many).
 
     Long messages (e.g. the 312-bit type 19) may be split across sentences;
@@ -49,7 +53,12 @@ class AivdmSentence:
 
 
 def nmea_checksum(body: str) -> str:
-    """XOR checksum of a sentence body, as two uppercase hex digits."""
+    """XOR checksum of a sentence body, as two uppercase hex digits.
+
+    A body is ASCII on the wire; any other text XORs its code points.
+    """
+    if body.isascii():
+        return f"{reduce(xor, body.encode(), 0):02X}"
     value = 0
     for char in body:
         value ^= ord(char)
@@ -109,31 +118,31 @@ def unwrap_aivdm(sentence: str) -> AivdmSentence:
         raise NmeaFormatError("missing or malformed checksum suffix")
     body = sentence[1:star]
     declared = sentence[star + 1 :].upper()
-    if nmea_checksum(body) != declared:
+    computed = nmea_checksum(body)
+    if computed != declared:
         raise ChecksumError(
-            f"checksum mismatch: computed {nmea_checksum(body)}, declared {declared}"
+            f"checksum mismatch: computed {computed}, declared {declared}"
         )
     fields = body.split(",")
     if len(fields) != 7 or fields[0] not in ("AIVDM", "AIVDO"):
         raise NmeaFormatError(f"not an AIVDM sentence: {body!r}")
+    _, count, number, message_id, channel, payload, fill = fields
+    if not (count.isascii() and count.isdigit() and number.isascii() and number.isdigit()):
+        raise NmeaFormatError(f"non-numeric framing field in {body!r}")
+    fill_bits = _FILL_BITS.get(fill)
+    if fill_bits is None:
+        raise NmeaFormatError(f"fill bits must be one digit 0-5 in {body!r}")
     try:
-        fragment_count = int(fields[1])
-        fragment_number = int(fields[2])
-        fill_bits = int(fields[6])
-    except ValueError as exc:
-        raise NmeaFormatError(f"non-numeric framing field in {body!r}") from exc
+        fragment_count = int(count)
+        fragment_number = int(number)
+    except ValueError as exc:  # more digits than int() converts
+        raise NmeaFormatError("fragment count or number has too many digits") from exc
     if fragment_count < 1 or not 1 <= fragment_number <= fragment_count:
         raise NmeaFormatError(
             f"inconsistent fragment framing: {fragment_number}/{fragment_count}"
         )
-    payload = fields[5]
     if not payload:
         raise NmeaFormatError("empty payload")
     return AivdmSentence(
-        payload=payload,
-        fill_bits=fill_bits,
-        channel=fields[4],
-        fragment_count=fragment_count,
-        fragment_number=fragment_number,
-        message_id=fields[3],
+        payload, fill_bits, channel, fragment_count, fragment_number, message_id
     )

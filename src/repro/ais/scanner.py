@@ -73,11 +73,11 @@ class FragmentAssembler:
     so a stream of orphans cannot grow memory without bound.
     """
 
-    def __init__(self, max_pending: int = 64):
+    def __init__(self, max_pending: int = 64) -> None:
         self.max_pending = max_pending
         #: key -> {fragment_number: AivdmSentence}; dict order doubles as
         #: arrival order, which is what the eviction policy needs.
-        self._pending: dict[tuple, dict[int, AivdmSentence]] = {}
+        self._pending: dict[tuple[str, str, int], dict[int, AivdmSentence]] = {}
         self.dropped_sentences = 0
 
     def add(self, parsed: AivdmSentence) -> AivdmSentence | None:
@@ -131,6 +131,10 @@ class DataScanner:
     def __init__(self, max_pending_fragments: int = 64) -> None:
         self.statistics = ScannerStatistics()
         self._assembler = FragmentAssembler(max_pending_fragments)
+        #: Why the last :meth:`scan` rejected its sentence: the name of
+        #: the :class:`ScannerStatistics` counter it bumped, or ``None``
+        #: when it was accepted or is a fragment still being assembled.
+        self.last_rejection: str | None = None
 
     def scan(self, receive_time: int, sentence: str) -> PositionalTuple | None:
         """Process one sentence; return its positional tuple or ``None``.
@@ -141,33 +145,40 @@ class DataScanner:
         multi-fragment messages that is the final fragment's receive time.
         """
         stats = self.statistics
+        self.last_rejection = None
         try:
             parsed = unwrap_aivdm(sentence)
         except ChecksumError:
             stats.bad_checksum += 1
+            self.last_rejection = "bad_checksum"
             return None
         except NmeaFormatError:
             stats.bad_format += 1
+            self.last_rejection = "bad_format"
             return None
         if parsed.is_fragmented:
             before = self._assembler.dropped_sentences
-            parsed = self._assembler.add(parsed)
+            assembled = self._assembler.add(parsed)
             stats.fragmented_dropped += (
                 self._assembler.dropped_sentences - before
             )
-            if parsed is None:
+            if assembled is None:
                 return None
+            parsed = assembled
             stats.reassembled += 1
         try:
             report = decode_payload(parsed.payload, parsed.fill_bits)
         except ValueError:
             stats.bad_payload += 1
+            self.last_rejection = "bad_payload"
             return None
         if report is None:
             stats.unsupported_type += 1
+            self.last_rejection = "unsupported_type"
             return None
         if not report.has_valid_position():
             stats.invalid_position += 1
+            self.last_rejection = "invalid_position"
             return None
         stats.accepted += 1
         return PositionalTuple(

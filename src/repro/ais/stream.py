@@ -56,7 +56,7 @@ class DelayModel:
         delay_probability: float = 0.0,
         max_delay_seconds: int = 0,
         seed: int = 0,
-    ):
+    ) -> None:
         if not 0.0 <= delay_probability <= 1.0:
             raise ValueError(f"delay_probability out of range: {delay_probability}")
         if max_delay_seconds < 0:
@@ -89,7 +89,7 @@ class StreamReplayer:
     stream and the window keeps in pace with the reported timestamps".
     """
 
-    def __init__(self, arrivals: list[TimedArrival], slide_seconds: int):
+    def __init__(self, arrivals: list[TimedArrival], slide_seconds: int) -> None:
         if slide_seconds <= 0:
             raise ValueError(f"slide must be positive, got {slide_seconds}")
         self._arrivals = sorted(arrivals, key=lambda item: item.arrival)

@@ -15,8 +15,8 @@ counted, where the backend's dead-letter machinery classifies it just
 like a single node's would.
 """
 
+from repro.ais.messages import unarmor
 from repro.ais.nmea import unwrap_aivdm
-from repro.ais.sixbit import payload_to_bits
 from repro.obs.registry import MetricsRegistry
 
 #: Knuth's multiplicative hash constant; spreads consecutive MMSIs
@@ -34,17 +34,19 @@ def shard_for_mmsi(mmsi: int, shards: int) -> int:
 
 
 def mmsi_of_payload(payload: str, fill_bits: int) -> int | None:
-    """MMSI from bits 8–38 of an AIS payload, or ``None`` if truncated."""
+    """MMSI from bits 8–38 of an AIS payload, or ``None`` if truncated.
+
+    A character outside the armor table anywhere in the payload makes it
+    unroutable too, even past the MMSI: such a sentence is malformed, and
+    the backend's scanner rejects it the same way.
+    """
     try:
-        bits = payload_to_bits(payload, fill_bits)
+        value, nbits = unarmor(payload, fill_bits)
     except ValueError:
         return None
-    if len(bits) < 38:
+    if nbits < 38:
         return None
-    value = 0
-    for bit in bits[8:38]:
-        value = (value << 1) | bit
-    return value
+    return (value >> (nbits - 38)) & 0x3FFFFFFF
 
 
 class SentenceRouter:

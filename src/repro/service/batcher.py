@@ -48,7 +48,6 @@ from repro.ais.scanner import DataScanner
 from repro.pipeline.metrics import SlideReport
 from repro.resilience.faults import InjectedFault, SimulatedCrash, fault_point
 from repro.service.protocol import parse_heartbeat, parse_watermark
-from repro.service.quarantine import REASONS
 
 
 class SlideBatcher:
@@ -249,16 +248,11 @@ class SlideBatcher:
 
     def _scan(self, receive_time: int, sentence: str):
         """Scan one sentence, quarantining anything the scanner rejects."""
-        if self.deadletter is None:
-            return self.scanner.scan(receive_time, sentence)
-        stats = self.scanner.statistics
-        before = {reason: getattr(stats, reason) for reason in REASONS}
         position = self.scanner.scan(receive_time, sentence)
-        if position is None:
-            for reason in REASONS:
-                if getattr(stats, reason) > before[reason]:
-                    self.deadletter.quarantine(receive_time, sentence, reason)
-                    break
+        if position is None and self.deadletter is not None:
+            reason = self.scanner.last_rejection
+            if reason is not None:
+                self.deadletter.quarantine(receive_time, sentence, reason)
         return position
 
     async def drain(self) -> None:

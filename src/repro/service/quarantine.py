@@ -16,15 +16,6 @@ from dataclasses import dataclass
 
 from repro import obs
 
-#: Classification reasons, mirroring the scanner's rejection counters.
-REASONS = (
-    "bad_checksum",
-    "bad_format",
-    "bad_payload",
-    "unsupported_type",
-    "invalid_position",
-)
-
 
 @dataclass(frozen=True)
 class DeadLetter:
@@ -58,7 +49,11 @@ class DeadLetterBuffer:
         self.evicted = 0
 
     def quarantine(self, receive_time: int, sentence: str, reason: str) -> None:
-        """Record one rejected sentence under its classified reason."""
+        """Record one rejected sentence under its classified reason.
+
+        ``reason`` is the scanner's rejection counter the sentence bumped
+        (:attr:`~repro.ais.scanner.DataScanner.last_rejection`).
+        """
         if len(self._letters) == self.capacity:
             self.evicted += 1
             obs.count("service.deadletter.evicted")

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.ais.messages import PositionReport, encode_position_report
 from repro.ais.nmea import (
     ChecksumError,
     NmeaFormatError,
@@ -10,6 +11,7 @@ from repro.ais.nmea import (
     unwrap_aivdm,
     wrap_aivdm,
 )
+from repro.ais.scanner import DataScanner
 
 payload_chars = st.text(
     alphabet=[chr(c) for c in range(48, 88)] + [chr(c) for c in range(96, 120)],
@@ -105,3 +107,74 @@ class TestRejection:
         body = "AIVDM,1,1,,A,,0"
         with pytest.raises(NmeaFormatError, match="empty payload"):
             unwrap_aivdm(f"!{body}*{nmea_checksum(body)}")
+
+
+def framed(count: str, number: str, fill: str) -> str:
+    """A type-1 report framed with the given raw framing fields."""
+    payload, _ = encode_position_report(
+        PositionReport(1, 239_000_001, 23.6, 37.9, 10.0, 90.0, 0)
+    )
+    body = f"AIVDM,{count},{number},,A,{payload},{fill}"
+    return f"!{body}*{nmea_checksum(body)}"
+
+
+class TestNumericFraming:
+    """Framing fields are plain ASCII digits; fill bits one digit 0-5."""
+
+    @pytest.mark.parametrize("fill", ["-1", "-6", "+0", " 0", "9", "6", "00", "", "x"])
+    def test_bad_fill_bits_rejected(self, fill):
+        with pytest.raises(NmeaFormatError, match="fill bits"):
+            unwrap_aivdm(framed("1", "1", fill))
+
+    @pytest.mark.parametrize(
+        ("count", "number"),
+        # Two Arabic-Indic ones (U+0661) are 11 to int(); their code
+        # points cancel in the XOR, so the checksum still frames them.
+        [
+            ("+1", "1"),
+            ("1", "+1"),
+            (" 1", "1"),
+            ("1", "1 "),
+            ("\u0661\u0661", "1"),
+            ("\u00b2", "1"),
+        ],
+    )
+    def test_signed_or_non_ascii_fragment_fields_rejected(self, count, number):
+        with pytest.raises(NmeaFormatError, match="non-numeric"):
+            unwrap_aivdm(framed(count, number, "0"))
+
+    @pytest.mark.parametrize(
+        ("count", "number"),
+        [
+            pytest.param("1" * 5000, "1", id="5000-digit-count"),
+            pytest.param("1", "1" * 5000, id="5000-digit-number"),
+        ],
+    )
+    def test_oversized_fragment_fields_rejected(self, count, number):
+        # More digits than int() converts: a plain ValueError would escape
+        # the scanner, which counts only NMEA errors as bad framing.
+        with pytest.raises(NmeaFormatError, match="too many digits"):
+            unwrap_aivdm(framed(count, number, "0"))
+
+    @pytest.mark.parametrize("fill", ["0", "1", "2", "3", "4", "5"])
+    def test_fill_digits_zero_to_five_accepted(self, fill):
+        assert unwrap_aivdm(framed("1", "1", fill)).fill_bits == int(fill)
+
+    @pytest.mark.parametrize(
+        ("count", "number", "fill"),
+        [
+            ("1", "1", "-1"),
+            ("1", "1", "-6"),
+            ("1", "1", "+0"),
+            ("1", "1", " 0"),
+            ("1", "1", "9"),
+            ("+1", "1", "0"),
+            pytest.param("1" * 5000, "1", "0", id="5000-digit-count"),
+            pytest.param("1", "1" * 5000, "0", id="5000-digit-number"),
+        ],
+    )
+    def test_scanner_counts_bad_framing_as_bad_format(self, count, number, fill):
+        scanner = DataScanner()
+        assert scanner.scan(0, framed(count, number, fill)) is None
+        assert scanner.statistics.bad_format == 1
+        assert scanner.last_rejection == "bad_format"

@@ -1,9 +1,9 @@
-"""Tests for bit packing and the 6-bit ASCII armor."""
+"""Tests for the reference bit-list codec: bit packing and the 6-bit armor."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ais.sixbit import (
+from tests.ais.bitlist_codec import (
     BitReader,
     BitWriter,
     bits_to_payload,

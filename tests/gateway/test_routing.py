@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ais import PositionReport, encode_position_report
-from repro.ais.nmea import wrap_aivdm, wrap_aivdm_fragments
+from repro.ais.nmea import nmea_checksum, wrap_aivdm, wrap_aivdm_fragments
 from repro.gateway.routing import (
     PENDING_FRAGMENT_CAPACITY,
     SentenceRouter,
@@ -85,6 +85,31 @@ class TestSentenceRouter:
     def test_unparseable_sentence_goes_to_runtime_zero_counted(self):
         assert self.router.route("!AIVDM,garbage*00") == 0
         assert self.registry.counter("gateway.route.unroutable").value == 1
+
+    @pytest.mark.parametrize(
+        ("count", "number", "fill"),
+        [
+            ("1", "1", "9"),
+            ("1", "1", "-1"),
+            ("+1", "1", "0"),
+            pytest.param("1", "1" * 5000, "0", id="5000-digit-number"),
+        ],
+    )
+    def test_bad_numeric_framing_is_unparseable(self, count, number, fill):
+        payload, _ = _sentence(237006500)
+        body = f"AIVDM,{count},{number},,A,{payload},{fill}"
+        assert self.router.route(f"!{body}*{nmea_checksum(body)}") == 0
+        assert (
+            self.registry.counter("gateway.route.unroutable.unparseable").value == 1
+        )
+
+    def test_bad_character_past_the_mmsi_is_unroutable(self):
+        payload, fill = _sentence(237006500)
+        sentence = wrap_aivdm(payload[:20] + "_" + payload[21:], fill)
+        assert self.router.route(sentence) == 0
+        assert (
+            self.registry.counter("gateway.route.unroutable.short_payload").value == 1
+        )
 
     def test_abandoned_fragment_groups_are_evicted_counted(self):
         payload, fill = _sentence(237006500, message_type=19)
